@@ -73,12 +73,12 @@ void append_double(std::string& line, const char* key, double value) {
 // --- flat-JSON line parsing ------------------------------------------------
 
 LineParser::LineParser(const std::string& line) : line_(line) {
-  ensure(!line_.empty() && line_.front() == '{' && line_.back() == '}',
-         "codec: malformed line: " + line_);
+  expect(!line_.empty() && line_.front() == '{' && line_.back() == '}',
+         "codec: malformed line: ");
   std::size_t pos = 1;
   while (pos < line_.size() - 1) {
     const std::string key = parse_string(pos);
-    ensure(pos < line_.size() && line_[pos] == ':', "codec: expected ':' in " + line_);
+    expect(pos < line_.size() && line_[pos] == ':', "codec: expected ':' in ");
     ++pos;
     if (line_[pos] == '"') {
       strings_.emplace_back(key, parse_string(pos));
@@ -132,6 +132,10 @@ double LineParser::hexdouble(const char* key) const {
   return std::strtod(stored.c_str(), nullptr);
 }
 
+void LineParser::fail(const char* what, std::source_location loc) const {
+  support::throw_invariant(what + line_, loc);
+}
+
 const std::string& LineParser::number(const char* key) const {
   for (const auto& [k, v] : numbers_) {
     if (k == key) return v;
@@ -141,13 +145,13 @@ const std::string& LineParser::number(const char* key) const {
 }
 
 std::string LineParser::parse_string(std::size_t& pos) {
-  ensure(pos < line_.size() && line_[pos] == '"', "codec: expected '\"' in " + line_);
+  expect(pos < line_.size() && line_[pos] == '"', "codec: expected '\"' in ");
   ++pos;
   std::string out;
   while (pos < line_.size() && line_[pos] != '"') {
     char c = line_[pos];
     if (c == '\\') {
-      ensure(pos + 1 < line_.size(), "codec: dangling escape in " + line_);
+      expect(pos + 1 < line_.size(), "codec: dangling escape in ");
       const char e = line_[pos + 1];
       pos += 2;
       switch (e) {
@@ -157,19 +161,19 @@ std::string LineParser::parse_string(std::size_t& pos) {
         case 'r': out += '\r'; break;
         case 't': out += '\t'; break;
         case 'u': {
-          ensure(pos + 4 <= line_.size(), "codec: bad \\u escape in " + line_);
+          expect(pos + 4 <= line_.size(), "codec: bad \\u escape in ");
           out += static_cast<char>(std::strtoul(line_.substr(pos, 4).c_str(), nullptr, 16));
           pos += 4;
           break;
         }
-        default: ensure(false, "codec: unknown escape in " + line_);
+        default: fail("codec: unknown escape in ");
       }
     } else {
       out += c;
       ++pos;
     }
   }
-  ensure(pos < line_.size(), "codec: unterminated string in " + line_);
+  expect(pos < line_.size(), "codec: unterminated string in ");
   ++pos;  // closing quote
   return out;
 }

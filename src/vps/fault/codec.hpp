@@ -14,6 +14,7 @@
 /// older) verify trivially so old files keep loading.
 
 #include <cstdint>
+#include <source_location>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,6 +53,16 @@ class LineParser {
  private:
   [[nodiscard]] const std::string& number(const char* key) const;
   std::string parse_string(std::size_t& pos);
+
+  /// Syntax check that quotes the record line only when it fails: the
+  /// message is `what` followed by the line, so a well-formed line is never
+  /// copied.
+  void expect(bool ok, const char* what,
+              std::source_location loc = std::source_location::current()) const {
+    if (!ok) [[unlikely]] fail(what, loc);
+  }
+  [[noreturn, gnu::cold, gnu::noinline]] void fail(
+      const char* what, std::source_location loc = std::source_location::current()) const;
 
   const std::string& line_;
   std::vector<std::pair<std::string, std::string>> strings_;

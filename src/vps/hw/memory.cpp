@@ -46,6 +46,7 @@ void Memory::poke(std::uint64_t address, std::uint8_t value) {
 
 std::uint32_t Memory::peek32(std::uint64_t address) const {
   ensure(address % 4 == 0, "Memory::peek32 must be word-aligned");
+  ensure(address <= size_ - 4, "Memory::peek32 out of range");
   if (ecc_ == EccMode::kNone) {
     return static_cast<std::uint32_t>(plain_[address]) |
            (static_cast<std::uint32_t>(plain_[address + 1]) << 8) |
@@ -56,7 +57,7 @@ std::uint32_t Memory::peek32(std::uint64_t address) const {
 }
 
 void Memory::poke32(std::uint64_t address, std::uint32_t value) {
-  ensure(address % 4 == 0 && address + 4 <= size_, "Memory::poke32 out of range/unaligned");
+  ensure(address % 4 == 0 && address <= size_ - 4, "Memory::poke32 out of range/unaligned");
   if (ecc_ == EccMode::kNone) {
     for (int i = 0; i < 4; ++i) plain_[address + static_cast<std::uint64_t>(i)] =
         static_cast<std::uint8_t>(value >> (8 * i));

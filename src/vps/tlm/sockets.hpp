@@ -103,14 +103,16 @@ class InitiatorSocket {
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
   void b_transport(GenericPayload& payload, sim::Time& delay) {
-    support::ensure(target_ != nullptr && target_->blocking_ != nullptr,
-                    "b_transport on unbound socket " + name_);
+    if (target_ == nullptr || target_->blocking_ == nullptr) [[unlikely]] {
+      unbound("b_transport");
+    }
     target_->blocking_->b_transport(payload, delay);
   }
 
   Sync nb_transport_fw(GenericPayload& payload, Phase& phase, sim::Time& delay) {
-    support::ensure(target_ != nullptr && target_->nonblocking_ != nullptr,
-                    "nb_transport_fw on unbound socket " + name_);
+    if (target_ == nullptr || target_->nonblocking_ == nullptr) [[unlikely]] {
+      unbound("nb_transport_fw");
+    }
     return target_->nonblocking_->nb_transport_fw(payload, phase, delay);
   }
 
@@ -120,6 +122,13 @@ class InitiatorSocket {
   }
 
  private:
+  /// Failure half of the per-call binding check: names the socket only when
+  /// the check fails, so a bound transaction builds no string.
+  [[noreturn, gnu::cold, gnu::noinline]] void unbound(const char* call) const {
+    support::throw_invariant(std::string(call) + " on unbound socket " + name_,
+                             std::source_location::current());
+  }
+
   std::string name_;
   TargetSocket* target_ = nullptr;
   NbTransportBw* bw_ = nullptr;

@@ -1,0 +1,98 @@
+// Heap traffic on the success paths every replay takes millions of times: a
+// passing ensure() and a bus transaction through the ECU router. Both must
+// be allocation-free. This file is its own binary because it replaces the
+// global operator new/delete to count calls.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "vps/ecu/platform.hpp"
+#include "vps/hw/peripherals.hpp"
+#include "vps/sim/kernel.hpp"
+#include "vps/support/ensure.hpp"
+#include "vps/tlm/payload.hpp"
+#include "vps/tlm/sockets.hpp"
+
+namespace {
+
+std::atomic<std::size_t> g_allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace {
+
+using vps::ecu::EcuMemoryMap;
+using vps::tlm::Command;
+using vps::tlm::GenericPayload;
+
+constexpr int kIterations = 10000;
+
+/// Number of operator new calls made while running `fn`.
+template <typename Fn>
+std::size_t allocations_during(Fn&& fn) {
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  fn();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST(HotPathAlloc, PassingEnsureWithLongLiteralDoesNotAllocate) {
+  volatile bool holds = true;  // keeps the check from folding away
+  const std::size_t n = allocations_during([&] {
+    for (int i = 0; i < kIterations; ++i) {
+      vps::support::ensure(holds, "a literal message well past the small-string buffer");
+    }
+  });
+  EXPECT_EQ(n, 0u);
+}
+
+TEST(HotPathAlloc, WarmedRouterTransactionsDoNotAllocate) {
+  vps::sim::Kernel kernel;
+  vps::ecu::EcuPlatform ecu(kernel, "ecu");
+  vps::tlm::InitiatorSocket initiator("hot_path.init");
+  initiator.bind(ecu.bus().target_socket());
+
+  bool all_ok = true;
+  std::uint64_t last_read = 0;
+  auto transact = [&](Command cmd, std::uint32_t address, std::uint32_t value) {
+    GenericPayload p(cmd, address, 4);
+    if (cmd == Command::kWrite) p.set_value_le(value);
+    vps::sim::Time delay = vps::sim::Time::zero();
+    initiator.b_transport(p, delay);
+    all_ok = all_ok && p.ok();
+    if (cmd == Command::kRead) last_read = p.value_le();
+  };
+  // One read and one write into RAM and into the watchdog (a kick).
+  auto round = [&](std::uint32_t i) {
+    transact(Command::kWrite, EcuMemoryMap::kRamBase + 0x100, i);
+    transact(Command::kRead, EcuMemoryMap::kRamBase + 0x100, 0);
+    transact(Command::kWrite, EcuMemoryMap::kWatchdogBase + vps::hw::Watchdog::kKick, 1);
+    transact(Command::kRead, EcuMemoryMap::kWatchdogBase + vps::hw::Watchdog::kPeriodUs, 0);
+  };
+
+  for (std::uint32_t i = 0; i < 16; ++i) round(i);  // warm lazily grown queues
+  const std::size_t n = allocations_during([&] {
+    for (std::uint32_t i = 0; i < kIterations; ++i) round(i);
+  });
+
+  EXPECT_EQ(n, 0u);
+  EXPECT_TRUE(all_ok);
+  EXPECT_EQ(last_read, 10000u);  // watchdog period register, power-on value
+  EXPECT_EQ(ecu.ram().peek32(0x100), static_cast<std::uint32_t>(kIterations - 1));
+  EXPECT_EQ(ecu.bus().forwarded(), 4u * (16u + kIterations));
+  EXPECT_EQ(ecu.bus().decode_errors(), 0u);
+}
+
+}  // namespace

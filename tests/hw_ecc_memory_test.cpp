@@ -6,6 +6,7 @@
 
 #include "vps/hw/ecc.hpp"
 #include "vps/hw/memory.hpp"
+#include "vps/support/ensure.hpp"
 #include "vps/support/rng.hpp"
 #include "vps/tlm/payload.hpp"
 
@@ -99,6 +100,16 @@ TEST_P(MemoryModes, LoadAndPeek) {
   for (std::size_t i = 0; i < img.size(); ++i) EXPECT_EQ(m.peek(8 + i), img[i]);
   m.poke32(0, 0xCAFEBABE);
   EXPECT_EQ(m.peek32(0), 0xCAFEBABEu);
+}
+
+TEST_P(MemoryModes, Peek32RejectsOutOfRange) {
+  Memory m("m", 64, 0_ns, GetParam());
+  m.poke32(60, 0x01020304);
+  EXPECT_EQ(m.peek32(60), 0x01020304u);  // last word is in range
+  EXPECT_THROW((void)m.peek32(64), vps::support::InvariantError);
+  EXPECT_THROW((void)m.peek32(128), vps::support::InvariantError);
+  EXPECT_THROW((void)m.peek32(~std::uint64_t{3}), vps::support::InvariantError);  // wraps
+  EXPECT_THROW(m.poke32(~std::uint64_t{3}, 0), vps::support::InvariantError);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothModes, MemoryModes,

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "vps/apps/caps.hpp"
@@ -310,6 +311,29 @@ TEST(Checkpoint, EveryV3LineCarriesAVerifiableCrc) {
     EXPECT_FALSE(error.empty());
   }
   EXPECT_EQ(lines, 6);  // header, config, golden, 2 records, end
+}
+
+TEST(Codec, MalformedLineErrorsNameTheProblemAndQuoteTheLine) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"x", "codec: malformed line: "},
+      {"{\"a\"1}", "codec: expected ':' in "},
+      {"{a:1}", "codec: expected '\"' in "},
+      {"{\"a\":\"b\\q\"}", "codec: unknown escape in "},
+      {"{\"\\u1}", "codec: bad \\u escape in "},
+      {"{\"abc}", "codec: unterminated string in "},
+  };
+  for (const auto& [line, problem] : cases) {
+    try {
+      (void)codec::LineParser(line);
+      ADD_FAILURE() << "accepted " << line;
+    } catch (const InvariantError& e) {
+      const std::string what = e.what();
+      const std::string tail = ": " + problem + line;
+      EXPECT_NE(what.find("codec.cpp:"), std::string::npos) << what;
+      ASSERT_GE(what.size(), tail.size()) << what;
+      EXPECT_EQ(what.substr(what.size() - tail.size()), tail);
+    }
+  }
 }
 
 TEST(Checkpoint, CorruptRecordLineIsReportedAndFileTruncatedToLastGoodRecord) {

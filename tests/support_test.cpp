@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "vps/support/crc.hpp"
@@ -28,6 +29,21 @@ TEST(Ensure, ThrowsWithLocation) {
   } catch (const InvariantError& e) {
     EXPECT_NE(std::string(e.what()).find("boom"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("support_test"), std::string::npos);
+  }
+}
+
+TEST(Ensure, ComposedMessageKeepsLocationFormat) {
+  const std::string detail = "composed " + std::to_string(42);
+  const int line = __LINE__ + 2;
+  try {
+    ensure(false, detail);
+    FAIL() << "ensure did not throw";
+  } catch (const InvariantError& e) {
+    const std::string expected = ":" + std::to_string(line) + ": composed 42";
+    const std::string what = e.what();
+    ASSERT_GE(what.size(), expected.size());
+    EXPECT_EQ(what.substr(what.size() - expected.size()), expected);
+    EXPECT_NE(what.find("support_test.cpp"), std::string::npos);
   }
 }
 

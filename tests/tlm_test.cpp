@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "vps/sim/kernel.hpp"
@@ -71,6 +72,25 @@ TEST(Payload, ScalarLittleEndianRoundTrip) {
   EXPECT_EQ(p.data()[3], 0xDE);
 }
 
+TEST(Payload, CarriesUpToEightBytesInline) {
+  GenericPayload p(Command::kWrite, 0, GenericPayload::kMaxSize);
+  EXPECT_EQ(p.size(), 8u);
+  p.set_value_le(0x0102030405060708ULL);
+  EXPECT_EQ(p.value_le(), 0x0102030405060708ULL);
+  EXPECT_EQ(p.data()[7], 0x01);
+  EXPECT_EQ(GenericPayload(Command::kRead, 0, 2).data().size(), 2u);
+  EXPECT_EQ(GenericPayload().size(), 0u);
+}
+
+TEST(Payload, SizeAboveInlineBufferThrows) {
+  try {
+    GenericPayload p(Command::kRead, 0, 9);
+    FAIL() << "a 9-byte payload was accepted";
+  } catch (const vps::support::InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find("8-byte inline buffer"), std::string::npos) << e.what();
+  }
+}
+
 TEST(Payload, PoisonTracking) {
   GenericPayload p;
   EXPECT_FALSE(p.poisoned());
@@ -94,6 +114,32 @@ TEST(Sockets, UnboundTransportIsReported) {
   GenericPayload p(Command::kRead, 0, 4);
   Time delay;
   EXPECT_THROW(init.b_transport(p, delay), vps::support::InvariantError);
+  try {
+    init.b_transport(p, delay);
+  } catch (const vps::support::InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find("sockets.hpp:"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find(": b_transport on unbound socket i"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Sockets, UnboundNonBlockingTransportNamesTheSocket) {
+  GenericPayload p(Command::kRead, 0, 4);
+  Phase phase = Phase::kBeginReq;
+  Time delay;
+  InitiatorSocket init("cpu.isock");
+  try {
+    (void)init.nb_transport_fw(p, phase, delay);
+    FAIL() << "nb_transport_fw on an unbound socket did not throw";
+  } catch (const vps::support::InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find("nb_transport_fw on unbound socket cpu.isock"),
+              std::string::npos)
+        << e.what();
+  }
+  // Bound to a target without a non-blocking interface counts as unbound too.
+  TestMemory mem("mem", 16, 1_ns);
+  init.bind(mem.socket());
+  EXPECT_THROW((void)init.nb_transport_fw(p, phase, delay), vps::support::InvariantError);
 }
 
 TEST(Sockets, BlockingRoundTrip) {
