@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
     dist::DistConfig dc;
     dc.campaign = cfg;
     dc.workers = 2;
-    dc.kill_after_results = runs / 3;
+    dc.kill_after_assigns = runs / 3;
     dc.kill_worker = 0;
     dist::DistCampaign campaign(caps_factory(), dc);
     const auto t0 = Clock::now();

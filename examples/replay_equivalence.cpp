@@ -3,7 +3,9 @@
 // forced ON (runs fork from cached epoch snapshots), export both record
 // streams as checkpoint-codec JSONL, and byte-diff them. Any divergence —
 // an outcome, a provenance edge, a hexfloat digit — exits nonzero. Covers
-// CAPS (provenance-heavy) and ACC (timing-heavy) under the parallel driver.
+// CAPS (provenance-heavy, and without provenance, where the core
+// fast-forwards its poll loop) and ACC (timing-heavy) under the parallel
+// driver. CI also diffs the CAPS full-replay files against tests/golden/.
 
 #include <cstdio>
 #include <fstream>
@@ -78,6 +80,7 @@ int main(int argc, char** argv) {
   std::printf("== snapshot-forked campaign vs full-replay golden (JSONL byte diff) ==\n");
   bool ok = true;
   ok = check("caps:crash:protected:prov", 48, dir) && ok;
+  ok = check("caps:crash", 48, dir) && ok;
   ok = check("caps:normal:unprotected", 32, dir) && ok;
   ok = check("acc", 32, dir) && ok;
   if (!ok) {

@@ -107,6 +107,23 @@ constexpr const char* kUnprotectedFirmware = R"(
       j    loop
 )";
 
+}  // namespace
+
+const char* caps_firmware_source(bool protected_link) noexcept {
+  return protected_link ? kProtectedFirmware : kUnprotectedFirmware;
+}
+
+const hw::Program& caps_firmware(bool protected_link) {
+  if (protected_link) {
+    static const hw::Program program = hw::assemble(kProtectedFirmware);
+    return program;
+  }
+  static const hw::Program program = hw::assemble(kUnprotectedFirmware);
+  return program;
+}
+
+namespace {
+
 /// Accelerometer node: C++-level CAN node sampling the analog channel every
 /// millisecond and publishing protected frames.
 class SensorNode final : public can::CanNode {
@@ -240,7 +257,7 @@ struct CapsSystem {
       : bus(kernel, "can0", 500000),
         airbag(kernel, "airbag", platform_config(cfg)),
         wired((airbag.attach_can(bus),
-               airbag.load_program(cfg.protected_link ? kProtectedFirmware : kUnprotectedFirmware),
+               airbag.load_program(caps_firmware(cfg.protected_link)),
                true)),
         noise_rng(seed),
         // Physical crash pulse: low-g driving noise, then a 35g pulse.

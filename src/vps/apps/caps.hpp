@@ -15,6 +15,7 @@
 #include <string>
 
 #include "vps/fault/scenario.hpp"
+#include "vps/hw/assembler.hpp"
 #include "vps/hw/memory.hpp"
 #include "vps/sim/kernel.hpp"
 #include "vps/sim/time.hpp"
@@ -44,6 +45,12 @@ struct CapsConfig {
   /// campaign worker.
   sim::RunBudget run_budget{.max_deltas_without_advance = std::uint64_t{1} << 20};
 };
+
+/// Assembler source of the airbag firmware, with or without link protection.
+[[nodiscard]] const char* caps_firmware_source(bool protected_link) noexcept;
+/// That firmware assembled once per process: every system build loads this
+/// image instead of re-running the assembler.
+[[nodiscard]] const hw::Program& caps_firmware(bool protected_link);
 
 /// Opaque per-seed golden epoch snapshots for snapshot-and-fork replay
 /// (defined in caps.cpp; the snapshot types live with the system model).

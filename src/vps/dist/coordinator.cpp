@@ -285,8 +285,8 @@ CampaignResult DistCampaign::execute(std::size_t start_run, CampaignResult resul
   std::size_t next_run = start_run;
   std::size_t executed_this_call = 0;
   std::size_t runs_since_checkpoint = 0;
-  std::uint64_t results_total = 0;
-  bool kill_hook_fired = config_.kill_after_results == 0;
+  std::uint64_t assigns_total = 0;
+  bool kill_hook_fired = config_.kill_after_assigns == 0;
   bool stopped = stop_condition_met(cc, result);  // resumed past the stop
 
   // Declares `w` dead: reap it and requeue its in-flight work onto the
@@ -303,6 +303,14 @@ CampaignResult DistCampaign::execute(std::size_t start_run, CampaignResult resul
     msg.fault = (*batch_faults)[slot];
     if (!w.channel->send_frame(MsgType::kAssign, encode_assign(msg))) return false;
     w.inflight.push_back(slot);
+    // Kill hook: SIGKILL the victim right after handing it a run, so it
+    // dies holding work it cannot have answered yet.
+    if (!kill_hook_fired && assigns_total >= config_.kill_after_assigns &&
+        &w == &fleet.workers[config_.kill_worker % fleet.workers.size()]) {
+      kill_hook_fired = true;
+      ::kill(w.pid, SIGKILL);
+    }
+    ++assigns_total;
     return true;
   };
   const std::function<void(Worker&)> on_worker_death = [&](Worker& w) {
@@ -469,14 +477,6 @@ CampaignResult DistCampaign::execute(std::size_t start_run, CampaignResult resul
                 // byte-identical anyway (replays are pure).
                 replays[slot] = std::move(msg.replay);
                 ++batch_results;
-              }
-              ++results_total;
-              if (!kill_hook_fired && results_total >= config_.kill_after_results) {
-                kill_hook_fired = true;
-                const std::size_t victim = config_.kill_worker % fleet.workers.size();
-                if (fleet.workers[victim].alive) {
-                  ::kill(fleet.workers[victim].pid, SIGKILL);
-                }
               }
               break;
             }

@@ -67,10 +67,12 @@ struct DistConfig {
   /// A run may be requeued onto a survivor at most this many times before it
   /// is recorded as kSimCrash and quarantined.
   std::size_t max_requeues = 2;
-  /// Test/CI hook: after this many RESULT frames arrived in total, SIGKILL
-  /// worker `kill_worker` (0-based) — deterministic worker loss without
-  /// external orchestration. 0 disables. Local fleet mode only.
-  std::size_t kill_after_results = 0;
+  /// Test/CI hook: once this many ASSIGN frames were sent in total, SIGKILL
+  /// worker `kill_worker` (0-based) right after the next ASSIGN it is sent —
+  /// deterministic worker loss without external orchestration, and the
+  /// victim always dies holding at least that unanswered run, so its work
+  /// is requeued. 0 disables. Local fleet mode only.
+  std::size_t kill_after_assigns = 0;
   std::size_t kill_worker = 0;
   /// Non-empty selects server mode: instead of forking its own fleet, the
   /// campaign is submitted to a running vps-serverd at server_host:server_port.

@@ -70,6 +70,10 @@ class CanController final : public hw::RegisterDevice, public can::CanNode {
  protected:
   std::uint32_t read_register(std::uint32_t offset, sim::Time& delay) override;
   void write_register(std::uint32_t offset, std::uint32_t value, sim::Time& delay) override;
+  /// Reads are pure: RX_COUNT and the RX registers only report the FIFO head.
+  bool repeat_register(std::uint32_t, tlm::Command command, std::uint64_t) override {
+    return command == tlm::Command::kRead;
+  }
   [[nodiscard]] std::uint32_t register_space() const override { return 0x30; }
 
  private:

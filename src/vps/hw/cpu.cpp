@@ -1,5 +1,8 @@
 #include "vps/hw/cpu.hpp"
 
+#include <algorithm>
+
+#include "vps/support/ensure.hpp"
 #include "vps/tlm/payload.hpp"
 
 namespace vps::hw {
@@ -272,6 +275,7 @@ bool Cpu::bus_read(std::uint32_t address, std::size_t size, std::uint32_t& value
     return true;
   }
   ++stats_.bus_accesses;
+  if (loop_.armed) log_bus_access(tlm::Command::kRead, address, size, 0);
   tlm::GenericPayload payload(tlm::Command::kRead, address, size);
   sim::Time delay = sim::Time::zero();
   socket_.b_transport(payload, delay);
@@ -295,6 +299,7 @@ bool Cpu::bus_write(std::uint32_t address, std::size_t size, std::uint32_t value
     return true;
   }
   ++stats_.bus_accesses;
+  if (loop_.armed) log_bus_access(tlm::Command::kWrite, address, size, value);
   tlm::GenericPayload payload(tlm::Command::kWrite, address, size);
   payload.set_value_le(value);
   if (store_poison_ != 0) {
@@ -446,6 +451,7 @@ bool Cpu::step() {
         next_pc = pc_ + static_cast<std::uint32_t>(d.simm());
         ++stats_.branches_taken;
         cycles = 2;
+        if (d.simm() < 0) loop_head_hit_ = true;
       }
       break;
     }
@@ -454,6 +460,7 @@ bool Cpu::step() {
       wr(pc_ + 4);
       next_pc = pc_ + static_cast<std::uint32_t>(d.simm());
       cycles = 2;
+      if (d.simm() < 0) loop_head_hit_ = true;
       break;
     case Opcode::kJalr:
       wr(pc_ + 4);
@@ -476,6 +483,84 @@ bool Cpu::step() {
   pc_ = next_pc;
   qk_.inc(config_.cycle_time * cycles);
   return state_ == State::kRunning;
+}
+
+void Cpu::log_bus_access(tlm::Command command, std::uint32_t address, std::size_t size,
+                         std::uint32_t value) noexcept {
+  if (loop_.accesses < kMaxLoopAccesses) {
+    tlm::GenericPayload& p = loop_.log[loop_.accesses];
+    p = tlm::GenericPayload(command, address, size);
+    if (command == tlm::Command::kWrite) p.set_value_le(value);
+  }
+  ++loop_.accesses;
+  if (command == tlm::Command::kWrite) ++loop_.bus_writes;
+}
+
+bool Cpu::iteration_repeats() const noexcept {
+  // Every store goes through bus_write, and every bus write is logged: a
+  // store count above the logged writes means a DMI write changed memory.
+  return regs_ == loop_.regs && irq_enabled_ == loop_.irq_enabled && in_irq_ == loop_.in_irq &&
+         saved_pc_ == loop_.saved_pc && stats_.irqs_taken == loop_.stats.irqs_taken &&
+         loop_.accesses <= kMaxLoopAccesses &&
+         stats_.stores - loop_.stats.stores == loop_.bus_writes;
+}
+
+void Cpu::at_loop_head() {
+  if (loop_.armed) {
+    loop_.armed = false;
+    if (loop_.head == pc_ && iteration_repeats() && fast_forward()) {
+      loop_.backoff = 0;
+    } else {
+      // A loop doing real work fails here on every iteration: back off
+      // exponentially so it pays for recording and comparing rarely.
+      loop_.backoff = std::clamp<std::uint32_t>(2 * loop_.backoff, 1, kMaxLoopBackoff);
+      loop_.skip = loop_.backoff;
+      return;
+    }
+  } else if (loop_.skip > 0) {
+    --loop_.skip;
+    return;
+  }
+  loop_.armed = true;
+  loop_.head = pc_;
+  loop_.regs = regs_;
+  loop_.irq_enabled = irq_enabled_;
+  loop_.in_irq = in_irq_;
+  loop_.saved_pc = saved_pc_;
+  loop_.stats = stats_;
+  loop_.local = qk_.local_time();
+  loop_.accesses = 0;
+  loop_.bus_writes = 0;
+}
+
+bool Cpu::fast_forward() {
+  // The kernel has not run since the iteration began and its accesses
+  // changed nothing but counters, so the next iterations start from the
+  // same state and repeat it exactly. Apply the n whole iterations that
+  // still end strictly before the quantum boundary (need_sync() stays
+  // false through all of them, as it would executing them one by one).
+  const sim::Time delta = qk_.local_time() - loop_.local;
+  if (delta == sim::Time::zero()) return false;
+  const std::uint64_t room = (qk_.quantum() - qk_.local_time()).picoseconds() - 1;
+  const std::uint64_t n = room / delta.picoseconds();
+  if (n == 0) return true;  // the quantum ends within the next iteration
+  for (std::size_t i = 0; i < loop_.accesses; ++i) {
+    if (!socket_.b_repeat(loop_.log[i], 0)) return false;
+  }
+  for (std::size_t i = 0; i < loop_.accesses; ++i) {
+    support::ensure(socket_.b_repeat(loop_.log[i], n),
+                    "Cpu: a target refused a bulk repeat it had accepted");
+  }
+  const Stats& b = loop_.stats;
+  stats_.instructions += n * (stats_.instructions - b.instructions);
+  stats_.loads += n * (stats_.loads - b.loads);
+  stats_.stores += n * (stats_.stores - b.stores);
+  stats_.branches_taken += n * (stats_.branches_taken - b.branches_taken);
+  stats_.dmi_accesses += n * (stats_.dmi_accesses - b.dmi_accesses);
+  stats_.bus_accesses += n * (stats_.bus_accesses - b.bus_accesses);
+  qk_.inc(delta * n);
+  fast_forwarded_ += n;
+  return true;
 }
 
 Cpu::Snapshot Cpu::snapshot() const {
@@ -524,10 +609,20 @@ sim::Coro Cpu::main_loop() {
   for (;;) {
     switch (state_) {
       case State::kRunning: {
-        // Execute a decoupled batch, then hand time back to the kernel.
+        // Execute a decoupled batch, then hand time back to the kernel. A
+        // loop iteration is only compared with one from the same batch:
+        // once the kernel runs, any device or signal may have moved.
+        const bool may_fast_forward = !trace_hook_ && provenance_ == nullptr &&
+                                      config_.use_dmi && qk_.quantum() != sim::Time::zero();
+        loop_.armed = false;
+        loop_head_hit_ = false;
         while (state_ == State::kRunning) {
           if (!step()) break;
           if (config_.quantum == sim::Time::zero() || qk_.need_sync()) break;
+          if (loop_head_hit_) {
+            loop_head_hit_ = false;
+            if (may_fast_forward) at_loop_head();
+          }
         }
         co_await qk_.sync();
         break;

@@ -4,6 +4,19 @@
 /// temporal decoupling. The core executes batches of instructions against a
 /// local time offset and synchronizes with the kernel once per quantum —
 /// the VP acceleration pattern whose cost/accuracy trade-off E4 measures.
+///
+/// Poll-loop fast-forward: when the core returns to the target of a
+/// backward branch within one batch and the iteration just completed left
+/// the register file and interrupt state unchanged, made no DMI write,
+/// entered no interrupt and made at most kMaxLoopAccesses bus accesses,
+/// each of which its target agreed to repeat (tlm::BlockingTransport::
+/// b_repeat), every further iteration would be identical: nothing but time
+/// and counters moves until the kernel runs again. The core then applies the
+/// n whole iterations that still end before the quantum boundary in O(1) —
+/// local time, every Stats field and the targets' counters advance by n
+/// times the iteration's delta — and executes the rest one by one. The
+/// per-instruction path stays in force whenever a trace hook or a
+/// provenance tracker is attached, without DMI, or with a zero quantum.
 
 #include <array>
 #include <cstdint>
@@ -15,6 +28,7 @@
 #include "vps/sim/kernel.hpp"
 #include "vps/sim/module.hpp"
 #include "vps/sim/signal.hpp"
+#include "vps/tlm/payload.hpp"
 #include "vps/tlm/quantum.hpp"
 #include "vps/tlm/sockets.hpp"
 
@@ -53,6 +67,12 @@ class Cpu final : public sim::Module {
   [[nodiscard]] FaultCause fault_cause() const noexcept { return fault_cause_; }
   [[nodiscard]] std::uint32_t fault_address() const noexcept { return fault_address_; }
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+  /// Loop iterations this instance applied by poll-loop fast-forward
+  /// instead of executing them (diagnostic, not part of the snapshot;
+  /// Stats counts them as executed either way).
+  [[nodiscard]] std::uint64_t fast_forwarded_iterations() const noexcept {
+    return fast_forwarded_;
+  }
   [[nodiscard]] tlm::QuantumKeeper& quantum_keeper() noexcept { return qk_; }
 
   [[nodiscard]] std::uint32_t pc() const noexcept { return pc_; }
@@ -136,6 +156,18 @@ class Cpu final : public sim::Module {
   bool bus_read(std::uint32_t address, std::size_t size, std::uint32_t& value);
   bool bus_write(std::uint32_t address, std::size_t size, std::uint32_t value);
 
+  /// Called on arrival at the target of a taken backward branch: applies
+  /// the fast-forward when the iteration since the last arrival there
+  /// qualifies, then starts recording the next one.
+  void at_loop_head();
+  [[nodiscard]] bool iteration_repeats() const noexcept;
+  /// Applies the whole iterations that fit before the quantum boundary;
+  /// false when a target refuses to repeat its access.
+  bool fast_forward();
+  /// Bus accesses the recorded iteration made, as payloads for b_repeat.
+  void log_bus_access(tlm::Command command, std::uint32_t address, std::size_t size,
+                      std::uint32_t value) noexcept;
+
   Config config_;
   tlm::InitiatorSocket socket_;
   tlm::QuantumKeeper qk_;
@@ -155,6 +187,29 @@ class Cpu final : public sim::Module {
   tlm::DmiRegion dmi_;
   Stats stats_;
   std::function<void(std::uint32_t, const Decoded&)> trace_hook_;
+
+  // Poll-loop fast-forward: the state at the last arrival at a loop head in
+  // the current batch, and the bus accesses made since.
+  static constexpr std::size_t kMaxLoopAccesses = 4;
+  static constexpr std::uint32_t kMaxLoopBackoff = 64;
+  struct LoopIteration {
+    bool armed = false;
+    std::uint32_t backoff = 0;  ///< arrivals skipped after the last failed check
+    std::uint32_t skip = 0;     ///< arrivals still to skip before recording again
+    std::uint32_t head = 0;
+    std::array<std::uint32_t, kRegisterCount> regs{};
+    bool irq_enabled = false;
+    bool in_irq = false;
+    std::uint32_t saved_pc = 0;
+    Stats stats;
+    sim::Time local;
+    std::size_t accesses = 0;  ///< may exceed kMaxLoopAccesses; only the first are kept
+    std::size_t bus_writes = 0;
+    std::array<tlm::GenericPayload, kMaxLoopAccesses> log;
+  };
+  LoopIteration loop_;
+  bool loop_head_hit_ = false;  ///< set by step() on a taken backward branch
+  std::uint64_t fast_forwarded_ = 0;
 
   // Provenance: register-file taint (bit i of taint_mask_ set = regs_[i]
   // carries fault reg_taint_[i]); store_poison_/load_poison_ hand fault ids

@@ -1,5 +1,7 @@
 #include "vps/hw/memory.hpp"
 
+#include <algorithm>
+
 #include "vps/support/ensure.hpp"
 
 namespace vps::hw {
@@ -64,6 +66,46 @@ void Memory::poke32(std::uint64_t address, std::uint32_t value) {
     return;
   }
   codewords_[address / 4] = ecc_encode(value);
+}
+
+namespace {
+
+/// The prefix of `store` up to and including its last element != blank.
+template <typename T>
+std::vector<T> trimmed(const std::vector<T>& store, T blank) {
+  auto end = store.end();
+  while (end != store.begin() && *(end - 1) == blank) --end;
+  return std::vector<T>(store.begin(), end);
+}
+
+/// Copies `image` over the front of `store` and fills the rest with blank.
+template <typename T>
+void untrim(std::vector<T>& store, const std::vector<T>& image, T blank) {
+  ensure(image.size() <= store.size(), "Memory::restore: image larger than the memory");
+  const auto tail = std::copy(image.begin(), image.end(), store.begin());
+  std::fill(tail, store.end(), blank);
+}
+
+}  // namespace
+
+Memory::Snapshot Memory::snapshot() const {
+  return Snapshot{trimmed<std::uint8_t>(plain_, 0),
+                  trimmed(codewords_, ecc_encode(0)),
+                  word_poison_,
+                  reads_,
+                  writes_,
+                  corrected_,
+                  uncorrectable_};
+}
+
+void Memory::restore(const Snapshot& s) {
+  untrim<std::uint8_t>(plain_, s.plain, 0);
+  untrim(codewords_, s.codewords, ecc_encode(0));
+  word_poison_ = s.word_poison;
+  reads_ = s.reads;
+  writes_ = s.writes;
+  corrected_ = s.corrected;
+  uncorrectable_ = s.uncorrectable;
 }
 
 void Memory::flip_bit(std::uint64_t byte_address, int bit, std::uint64_t fault_id) {

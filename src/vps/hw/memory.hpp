@@ -72,6 +72,9 @@ class Memory final : public tlm::BlockingTransport, public tlm::DmiProvider {
   /// Value-type image of the backing store, poison map and statistics.
   /// Structural configuration (size, ECC mode, watches, provenance) is not
   /// captured: restore targets a twin built with the same configuration.
+  /// The store is imaged only up to its last non-zero byte (codeword):
+  /// firmware RAM is mostly zeros, and a campaign keeps one image per epoch
+  /// per worker. restore zero-fills the rest.
   struct Snapshot {
     std::vector<std::uint8_t> plain;
     std::vector<std::uint64_t> codewords;
@@ -82,19 +85,8 @@ class Memory final : public tlm::BlockingTransport, public tlm::DmiProvider {
     std::uint64_t uncorrectable = 0;
   };
 
-  [[nodiscard]] Snapshot snapshot() const {
-    return Snapshot{plain_, codewords_, word_poison_, reads_, writes_, corrected_, uncorrectable_};
-  }
-
-  void restore(const Snapshot& s) {
-    plain_ = s.plain;
-    codewords_ = s.codewords;
-    word_poison_ = s.word_poison;
-    reads_ = s.reads;
-    writes_ = s.writes;
-    corrected_ = s.corrected;
-    uncorrectable_ = s.uncorrectable;
-  }
+  [[nodiscard]] Snapshot snapshot() const;
+  void restore(const Snapshot& s);
 
   // --- statistics ---------------------------------------------------------
   [[nodiscard]] std::uint64_t reads() const noexcept { return reads_; }

@@ -35,6 +35,12 @@ void RegisterDevice::b_transport(tlm::GenericPayload& payload, Time& delay) {
   payload.set_response(tlm::Response::kOk);
 }
 
+bool RegisterDevice::b_repeat(const tlm::GenericPayload& payload, std::uint64_t n) {
+  const std::uint64_t addr = payload.address();
+  if (payload.size() != 4 || addr % 4 != 0 || addr + 4 > register_space()) return false;
+  return repeat_register(static_cast<std::uint32_t>(addr), payload.command(), n);
+}
+
 // ---------------------------------------------------------------------------
 // InterruptController
 // ---------------------------------------------------------------------------
@@ -203,6 +209,11 @@ void Watchdog::write_register(std::uint32_t offset, std::uint32_t value, Time& /
       break;
     default: break;
   }
+}
+
+bool Watchdog::repeat_register(std::uint32_t offset, tlm::Command command, std::uint64_t n) {
+  if (command == tlm::Command::kRead) return true;
+  return command == tlm::Command::kWrite && offset == kKick && kick_event_.notify_repeat(n);
 }
 
 // ---------------------------------------------------------------------------

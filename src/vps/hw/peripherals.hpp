@@ -25,11 +25,21 @@ class RegisterDevice : public sim::Module, public tlm::BlockingTransport {
   [[nodiscard]] tlm::TargetSocket& socket() noexcept { return socket_; }
 
   void b_transport(tlm::GenericPayload& payload, sim::Time& delay) final;
+  /// Checks the access as b_transport does, then defers to repeat_register.
+  bool b_repeat(const tlm::GenericPayload& payload, std::uint64_t n) final;
 
  protected:
   /// Word-aligned register access; offset is a multiple of 4.
   virtual std::uint32_t read_register(std::uint32_t offset, sim::Time& delay) = 0;
   virtual void write_register(std::uint32_t offset, std::uint32_t value, sim::Time& delay) = 0;
+  /// Bulk-repeat hook behind b_repeat (see tlm::BlockingTransport): accept
+  /// only an access whose repeats return the same data at the same delay
+  /// and change nothing but counters, and apply n of them. Defaults to
+  /// refusing.
+  virtual bool repeat_register(std::uint32_t offset, tlm::Command command, std::uint64_t n) {
+    (void)offset, (void)command, (void)n;
+    return false;
+  }
   /// Highest valid register offset + 4.
   [[nodiscard]] virtual std::uint32_t register_space() const = 0;
 
@@ -77,6 +87,10 @@ class InterruptController final : public RegisterDevice {
  protected:
   std::uint32_t read_register(std::uint32_t offset, sim::Time& delay) override;
   void write_register(std::uint32_t offset, std::uint32_t value, sim::Time& delay) override;
+  /// Reads are pure: CLAIM reports the line, only a COMPLETE write clears it.
+  bool repeat_register(std::uint32_t, tlm::Command command, std::uint64_t) override {
+    return command == tlm::Command::kRead;
+  }
   [[nodiscard]] std::uint32_t register_space() const override { return 0x10; }
 
  private:
@@ -131,6 +145,10 @@ class Timer final : public RegisterDevice {
  protected:
   std::uint32_t read_register(std::uint32_t offset, sim::Time& delay) override;
   void write_register(std::uint32_t offset, std::uint32_t value, sim::Time& delay) override;
+  /// Reads are pure.
+  bool repeat_register(std::uint32_t, tlm::Command command, std::uint64_t) override {
+    return command == tlm::Command::kRead;
+  }
   [[nodiscard]] std::uint32_t register_space() const override { return 0x10; }
 
  private:
@@ -186,6 +204,9 @@ class Watchdog final : public RegisterDevice {
  protected:
   std::uint32_t read_register(std::uint32_t offset, sim::Time& delay) override;
   void write_register(std::uint32_t offset, std::uint32_t value, sim::Time& delay) override;
+  /// Reads are pure. A KICK only re-notifies the kick event, so once its
+  /// delta notification is pending, repeats just count notifications.
+  bool repeat_register(std::uint32_t offset, tlm::Command command, std::uint64_t n) override;
   [[nodiscard]] std::uint32_t register_space() const override { return 0x10; }
 
  private:
@@ -226,6 +247,10 @@ class Gpio final : public RegisterDevice {
  protected:
   std::uint32_t read_register(std::uint32_t offset, sim::Time& delay) override;
   void write_register(std::uint32_t offset, std::uint32_t value, sim::Time& delay) override;
+  /// Reads are pure.
+  bool repeat_register(std::uint32_t, tlm::Command command, std::uint64_t) override {
+    return command == tlm::Command::kRead;
+  }
   [[nodiscard]] std::uint32_t register_space() const override { return 0x08; }
 
  private:
@@ -234,7 +259,8 @@ class Gpio final : public RegisterDevice {
 };
 
 /// 12-bit ADC with a blocking conversion: reading DATA samples the attached
-/// analog source and charges the conversion time to the access.
+/// analog source and charges the conversion time to the access. No access
+/// repeats in bulk: every read samples the source and counts a conversion.
 ///
 /// Registers: 0x00 DATA (RO, 0..4095), 0x04 RAW_MILLIVOLTS (RO).
 class Adc final : public RegisterDevice {

@@ -10,7 +10,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -93,6 +92,13 @@ class Event {
   void notify();
   /// Triggers after the given simulated delay.
   void notify(Time delay);
+  /// Counts n further delta notify() calls in O(1) — what n repeats of
+  /// notify() do while a delta notification is already pending (each one
+  /// only bumps KernelStats::notifications). Refuses (returns false, counts
+  /// nothing) unless the delta notification is pending, and while a
+  /// KernelObserver is attached, since every notify() is an observer
+  /// callback. n = 0 only asks.
+  [[nodiscard]] bool notify_repeat(std::uint64_t n) noexcept;
   /// Cancels pending delta/timed notifications.
   void cancel() noexcept;
 
@@ -122,6 +128,7 @@ class Event {
   std::string name_;
   std::vector<Process*> static_waiters_;
   std::vector<DynamicWaiter> dynamic_waiters_;
+  std::vector<DynamicWaiter> firing_;  // fire()'s scratch; keeps its capacity
   std::uint64_t notify_generation_ = 0;  // bump to invalidate queued notifications
   bool delta_pending_ = false;
   std::uint64_t fire_count_ = 0;
@@ -501,9 +508,18 @@ class Kernel {
   std::exception_ptr pending_error_;
 
   std::vector<std::unique_ptr<Process>> processes_;
-  std::deque<Process*> runnable_;
+  // Runnable queue: a vector drained from runnable_head_ and cleared once
+  // empty, so it keeps its capacity (a deque frees and re-allocates a block
+  // every few dozen activations).
+  std::vector<Process*> runnable_;
+  std::size_t runnable_head_ = 0;
+  [[nodiscard]] bool has_runnable() const noexcept { return runnable_head_ < runnable_.size(); }
   std::vector<UpdateHook*> update_requests_;
   std::vector<Event*> delta_notifications_;
+  // Phase scratch: each phase swaps its queue in here and clears it after,
+  // so both vectors keep their capacity and a warmed delta allocates nothing.
+  std::vector<UpdateHook*> updating_;
+  std::vector<Event*> notifying_;
   TimedQueue timed_;
   std::unordered_set<const Event*> live_events_;
   std::vector<Event*> events_by_ordinal_;  // registration order; null = destroyed

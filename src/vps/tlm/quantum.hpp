@@ -27,18 +27,26 @@ class QuantumKeeper {
 
   [[nodiscard]] bool need_sync() const noexcept { return quantum_ != sim::Time::zero() && local_ >= quantum_; }
 
+  /// Awaitable returned by sync(): a plain awaiter rather than a coroutine,
+  /// so a quantum boundary allocates no coroutine frame.
+  struct SyncAwaiter {
+    sim::Time delay;
+    [[nodiscard]] bool await_ready() const noexcept { return delay == sim::Time::zero(); }
+    void await_suspend(sim::Coro::Handle h) const { sim::DelayAwaiter{delay}.await_suspend(h); }
+    void await_resume() const noexcept {}
+  };
+
   /// Yields to the kernel for the accumulated local time. A zero quantum
   /// means "sync on every call" (fully coupled reference behaviour). A call
   /// with no accumulated local time performs no kernel yield and is not
   /// counted: sync_count() reports actual yields only, so the E4 decoupling
-  /// stats are not skewed by flush calls that had nothing to flush.
-  [[nodiscard]] sim::Coro sync() {
+  /// stats are not skewed by flush calls that had nothing to flush. The
+  /// local offset is taken at the call, so co_await the result at once.
+  [[nodiscard]] SyncAwaiter sync() noexcept {
     const sim::Time t = local_;
     local_ = sim::Time::zero();
-    if (t != sim::Time::zero()) {
-      ++sync_count_;
-      co_await sim::delay(t);
-    }
+    if (t != sim::Time::zero()) ++sync_count_;
+    return SyncAwaiter{t};
   }
 
   /// Syncs only when the quantum is exhausted.

@@ -81,6 +81,17 @@ void Router::b_transport(GenericPayload& payload, sim::Time& delay) {
   }
 }
 
+bool Router::b_repeat(const GenericPayload& payload, std::uint64_t n) {
+  if (probe_ != nullptr || provenance_ != nullptr) return false;
+  Window* w = decode(payload.address(), payload.size());
+  if (w == nullptr) return false;
+  GenericPayload local = payload;
+  local.set_address(payload.address() - w->base);
+  if (!w->out.b_repeat(local, n)) return false;
+  forwarded_ += n;
+  return true;
+}
+
 bool Router::get_direct_mem_ptr(std::uint64_t address, DmiRegion& region) {
   Window* w = decode(address, 1);
   if (w == nullptr) return false;

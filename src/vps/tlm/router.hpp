@@ -43,6 +43,10 @@ class Router final : public BlockingTransport, public DmiProvider {
   void set_provenance(obs::ProvenanceTracker* tracker) noexcept { provenance_ = tracker; }
 
   void b_transport(GenericPayload& payload, sim::Time& delay) override;
+  /// Decodes, asks the target and counts n forwarded transactions. Refuses
+  /// while a probe or provenance tracker is attached (both act on every
+  /// transaction) and on a decode error.
+  bool b_repeat(const GenericPayload& payload, std::uint64_t n) override;
   bool get_direct_mem_ptr(std::uint64_t address, DmiRegion& region) override;
 
   // --- snapshot-and-fork replay -------------------------------------------

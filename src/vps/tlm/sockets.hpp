@@ -16,6 +16,20 @@ class BlockingTransport {
  public:
   virtual ~BlockingTransport() = default;
   virtual void b_transport(GenericPayload& payload, sim::Time& delay) = 0;
+
+  /// Bulk repeat, shaped like DMI's get_direct_mem_ptr: applies the side
+  /// effects and statistics of n further b_transport calls of `payload` as
+  /// it just completed (same command, address, size and write data) in
+  /// O(1), and returns true. An initiator calls it only for an access it
+  /// has just made, with no kernel activity in between, and ignores the
+  /// read data: a target accepts only where that repeat would return the
+  /// same data, cost the same delay and change nothing but counters. n = 0
+  /// only asks. Refusing (the default) is always safe: the initiator then
+  /// performs the accesses one by one.
+  virtual bool b_repeat(const GenericPayload& payload, std::uint64_t n) {
+    (void)payload, (void)n;
+    return false;
+  }
 };
 
 /// Approximately-timed protocol phases (TLM-2.0 base protocol subset).
@@ -119,6 +133,12 @@ class InitiatorSocket {
   bool get_direct_mem_ptr(std::uint64_t address, DmiRegion& region) {
     if (target_ == nullptr || target_->dmi_ == nullptr) return false;
     return target_->dmi_->get_direct_mem_ptr(address, region);
+  }
+
+  /// Forwards BlockingTransport::b_repeat; an unbound socket refuses.
+  bool b_repeat(const GenericPayload& payload, std::uint64_t n) {
+    if (target_ == nullptr || target_->blocking_ == nullptr) return false;
+    return target_->blocking_->b_repeat(payload, n);
   }
 
  private:

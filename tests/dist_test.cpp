@@ -417,7 +417,7 @@ TEST(DistCampaignTest, WorkerSigkillMidCampaignDoesNotChangeTheResult) {
     DistConfig dc;
     dc.campaign = cfg;
     dc.workers = fleet;
-    dc.kill_after_results = 5;  // SIGKILL worker 0 mid-shard
+    dc.kill_after_assigns = 5;  // SIGKILL worker 0 mid-shard
     dc.kill_worker = 0;
     vps::obs::MetricRegistry metrics;
     DistCampaign campaign(caps_factory(false), dc);
@@ -437,7 +437,7 @@ TEST(DistCampaignTest, ExhaustedRequeueBudgetQuarantinesTheRun) {
   dc.campaign = cfg;
   dc.workers = 2;
   dc.max_requeues = 0;  // any requeue attempt exceeds the budget
-  dc.kill_after_results = 3;
+  dc.kill_after_assigns = 3;
   dc.kill_worker = 0;
   DistCampaign campaign(caps_factory(false), dc);
   const CampaignResult result = campaign.run();
@@ -455,7 +455,7 @@ TEST(DistCampaignTest, LosingTheWholeFleetFailsCleanly) {
   DistConfig dc;
   dc.campaign = cfg;
   dc.workers = 1;
-  dc.kill_after_results = 1;  // kill the only worker while it holds work
+  dc.kill_after_assigns = 1;  // kill the only worker while it holds work
   dc.kill_worker = 0;
   DistCampaign campaign(caps_factory(false), dc);
   EXPECT_THROW((void)campaign.run(), InvariantError);

@@ -1,6 +1,7 @@
 // Heap traffic on the success paths every replay takes millions of times: a
-// passing ensure() and a bus transaction through the ECU router. Both must
-// be allocation-free. This file is its own binary because it replaces the
+// passing ensure(), a bus transaction through the ECU router, and the
+// quantum boundary of a core spinning in a kick-and-poll loop. All must be
+// allocation-free. This file is its own binary because it replaces the
 // global operator new/delete to count calls.
 
 #include <gtest/gtest.h>
@@ -93,6 +94,39 @@ TEST(HotPathAlloc, WarmedRouterTransactionsDoNotAllocate) {
   EXPECT_EQ(ecu.ram().peek32(0x100), static_cast<std::uint32_t>(kIterations - 1));
   EXPECT_EQ(ecu.bus().forwarded(), 4u * (16u + kIterations));
   EXPECT_EQ(ecu.bus().decode_errors(), 0u);
+}
+
+// Each quantum of a kick-and-poll loop syncs the core with the kernel (a
+// timed resume), fires the watchdog's kick event and re-arms its timed wait.
+// Once the kernel's queues and the event's waiter list have grown to their
+// working size, none of that may touch the heap.
+TEST(HotPathAlloc, WarmedKickAndPollQuantumDoesNotAllocate) {
+  using vps::sim::Time;
+  vps::sim::Kernel kernel;
+  vps::ecu::EcuPlatform ecu(kernel, "ecu");
+  ecu.load_program(R"(
+      li   r2, 0x40002000    ; watchdog
+      addi r3, r0, 2000
+      sw   r3, 4(r2)         ; period 2000us
+      addi r3, r0, 1
+      sw   r3, 0(r2)         ; enable
+    loop:
+      sw   r0, 8(r2)         ; kick
+      lw   r5, 12(r2)        ; TIMEOUT_COUNT
+      beq  r5, r0, loop
+      halt
+  )");
+  // Past one watchdog period, so superseded timeouts start to retire and
+  // the timed queue stops growing.
+  kernel.run(Time::ms(5));
+  const std::uint64_t syncs_before = ecu.cpu().quantum_keeper().sync_count();
+  const std::size_t n = allocations_during([&] { kernel.run(Time::ms(15)); });
+  const std::uint64_t quanta = ecu.cpu().quantum_keeper().sync_count() - syncs_before;
+
+  EXPECT_EQ(n, 0u) << "over " << quanta << " quanta";
+  EXPECT_GE(quanta, 990u);
+  EXPECT_EQ(ecu.watchdog().timeout_count(), 0u);
+  EXPECT_EQ(ecu.cpu().state(), vps::hw::Cpu::State::kRunning);
 }
 
 }  // namespace

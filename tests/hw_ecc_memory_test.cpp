@@ -112,6 +112,30 @@ TEST_P(MemoryModes, Peek32RejectsOutOfRange) {
   EXPECT_THROW(m.poke32(~std::uint64_t{3}, 0), vps::support::InvariantError);
 }
 
+// Epoch images stop at the last non-zero byte (codeword); restoring one
+// onto a memory with other contents must zero everything past it.
+TEST_P(MemoryModes, SnapshotIsTrimmedAndRestoreZeroFillsTheRest) {
+  Memory m("m", 1024, 0_ns, GetParam());
+  EXPECT_TRUE(m.snapshot().plain.empty());
+  EXPECT_TRUE(m.snapshot().codewords.empty());
+  m.poke32(0, 0x11223344);
+  m.poke(41, 0x7F);
+  const Memory::Snapshot image = m.snapshot();
+  EXPECT_LE(image.plain.size() + 4 * image.codewords.size(), 44u);
+
+  Memory twin("twin", 1024, 0_ns, GetParam());
+  for (std::uint64_t a = 0; a < 1024; a += 4) twin.poke32(a, 0xA5A5A5A5);
+  twin.restore(image);
+  EXPECT_EQ(twin.peek32(0), 0x11223344u);
+  for (std::uint64_t a = 4; a < 1024; ++a) {
+    ASSERT_EQ(twin.peek(a), a == 41 ? 0x7F : 0) << "address " << a;
+  }
+  EXPECT_EQ(mem_read(twin, 1020, 4).first, vps::tlm::Response::kOk);  // decodes clean
+
+  Memory small("small", 16, 0_ns, GetParam());
+  EXPECT_THROW(small.restore(image), vps::support::InvariantError);
+}
+
 INSTANTIATE_TEST_SUITE_P(BothModes, MemoryModes,
                          ::testing::Values(EccMode::kNone, EccMode::kSecded));
 
