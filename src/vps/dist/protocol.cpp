@@ -85,7 +85,10 @@ std::optional<Frame> FrameReader::next() {
   const std::uint32_t magic = get_u32(h);
   ensure(magic == kFrameMagic, "dist: bad frame magic — stream corrupted or misaligned");
   const std::uint8_t type = static_cast<std::uint8_t>(h[4]);
-  ensure(valid_type(type), "dist: unknown frame type " + std::to_string(type));
+  if (!valid_type(type)) [[unlikely]] {
+    support::throw_invariant("dist: unknown frame type " + std::to_string(type),
+                             std::source_location::current());
+  }
   const std::uint32_t length = get_u32(h + 5);
   ensure(length <= kMaxFramePayload, "dist: frame length exceeds kMaxFramePayload");
   const std::uint32_t crc = get_u32(h + 9);

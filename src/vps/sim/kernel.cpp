@@ -130,6 +130,7 @@ void Process::kill() {
   if (state_ == State::kTerminated) return;
   state_ = State::kTerminated;
   ++wait_generation_;  // invalidate pending wakeups
+  kernel_.timed_.erase_process(ordinal_);
   resume_point_ = nullptr;
   terminated_->notify();
 }
@@ -142,7 +143,7 @@ void DelayAwaiter::await_suspend(Coro::Handle h) {
   Process* p = h.promise().process;
   ensure(p != nullptr, "co_await delay() outside of a simulation process");
   p->resume_point_ = h;
-  p->kernel_.schedule_process_resume(*p, delay, /*timeout_flag=*/false);
+  p->kernel_.schedule_process_resume(*p, delay);
 }
 
 void PinnedDelayAwaiter::await_suspend(Coro::Handle h) {
@@ -193,8 +194,8 @@ Kernel::Kernel() = default;
 
 Kernel::~Kernel() {
   // Processes own Events whose destructors deregister from the ordinal
-  // registry; destroy them while live_events_/events_by_ordinal_ (declared
-  // after processes_, hence destroyed first by default) are still alive.
+  // registry; destroy them while events_by_ordinal_ (declared after
+  // processes_, hence destroyed first by default) is still alive.
   processes_.clear();
 }
 
@@ -202,25 +203,77 @@ Kernel::~Kernel() {
 // TimedQueue
 // ---------------------------------------------------------------------------
 
-// std::greater on TimedEntry gives the same min-heap the old
-// std::priority_queue<TimedEntry, vector, greater<>> maintained.
-static constexpr auto timed_greater() noexcept {
-  return [](const auto& a, const auto& b) { return a > b; };
-}
-
 void Kernel::TimedQueue::push(const TimedEntry& entry) {
+  if (!entry.is_event()) {
+    const std::uint32_t slot = slot_[entry.ordinal];
+    if (slot != kNoSlot) {
+      replace(slot, entry);
+      return;
+    }
+  }
   heap_.push_back(entry);
-  std::push_heap(heap_.begin(), heap_.end(), timed_greater());
+  sift_up(heap_.size() - 1);
 }
 
-void Kernel::TimedQueue::pop() {
-  std::pop_heap(heap_.begin(), heap_.end(), timed_greater());
+void Kernel::TimedQueue::pop() { erase_at(0); }
+
+void Kernel::TimedQueue::erase_process(std::uint32_t ordinal) {
+  const std::uint32_t slot = slot_[ordinal];
+  if (slot != kNoSlot) erase_at(slot);
+}
+
+void Kernel::TimedQueue::erase_at(std::size_t i) {
+  if (!heap_[i].is_event()) slot_[heap_[i].ordinal] = kNoSlot;
+  const TimedEntry last = heap_.back();
   heap_.pop_back();
+  if (i < heap_.size()) replace(i, last);
 }
 
-void Kernel::TimedQueue::assign(std::vector<TimedEntry> entries) {
-  heap_ = std::move(entries);
-  std::make_heap(heap_.begin(), heap_.end(), timed_greater());
+void Kernel::TimedQueue::replace(std::size_t i, const TimedEntry& entry) {
+  const bool earlier = heap_[i] > entry;
+  place(i, entry);
+  if (earlier) {
+    sift_up(i);
+  } else {
+    sift_down(i);
+  }
+}
+
+void Kernel::TimedQueue::sift_up(std::size_t i) {
+  const TimedEntry entry = heap_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!(heap_[parent] > entry)) break;
+    place(i, heap_[parent]);
+    i = parent;
+  }
+  place(i, entry);
+}
+
+void Kernel::TimedQueue::sift_down(std::size_t i) {
+  const TimedEntry entry = heap_[i];
+  const std::size_t n = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && heap_[child] > heap_[child + 1]) ++child;
+    if (!(entry > heap_[child])) break;
+    place(i, heap_[child]);
+    i = child;
+  }
+  place(i, entry);
+}
+
+void Kernel::TimedQueue::assign(const std::vector<TimedEntry>& entries, std::size_t processes) {
+  heap_ = entries;
+  slot_.assign(processes, kNoSlot);
+  for (std::size_t i = 0; i < heap_.size(); ++i) {
+    const TimedEntry& e = heap_[i];
+    if (e.is_event()) continue;
+    ensure(slot_[e.ordinal] == kNoSlot, "Kernel::restore: two timed entries for one process");
+    slot_[e.ordinal] = static_cast<std::uint32_t>(i);
+  }
+  for (std::size_t i = heap_.size() / 2; i-- > 0;) sift_down(i);
 }
 
 void Kernel::add_observer(KernelObserver& observer) {
@@ -250,6 +303,7 @@ Process& Kernel::spawn(std::string name, Coro coro) {
   promise.process = &p;
   p.resume_point_ = p.coro_.handle();
   processes_.push_back(std::move(process));
+  timed_.add_process();
   make_runnable(p);
   return p;
 }
@@ -266,6 +320,7 @@ Process& Kernel::method(std::string name, std::function<void()> body,
     e->add_static(&p);
   }
   processes_.push_back(std::move(process));
+  timed_.add_process();
   if (initialize) make_runnable(p);
   return p;
 }
@@ -283,45 +338,27 @@ Time Kernel::next_activity_time() const noexcept {
 
 void Kernel::request_update(UpdateHook& hook) { update_requests_.push_back(&hook); }
 
-void Kernel::queue_delta_notification(Event& event) { delta_notifications_.push_back(&event); }
-
-void Kernel::queue_timed_notification(Event& event, Time delay) {
-  TimedEntry entry;
-  entry.when = now_ + delay;
-  entry.seq = next_seq_++;
-  entry.event = &event;
-  entry.event_generation = event.notify_generation_;
-  timed_.push(entry);
+void Kernel::queue_delta_notification(Event& event) {
+  delta_notifications_.push_back(event.ordinal_);
 }
 
-void Kernel::schedule_process_resume(Process& process, Time delay, bool timeout_flag) {
-  TimedEntry entry;
-  entry.when = now_ + delay;
-  entry.seq = next_seq_++;
-  entry.process = &process;
-  entry.process_generation = timeout_flag ? process.wait_generation_ : process.bump_generation();
-  entry.timeout_flag = timeout_flag;
-  timed_.push(entry);
+void Kernel::queue_timed_notification(Event& event, Time delay) {
+  timed_.push({now_ + delay, (next_seq_++ << 1) | 1, event.notify_generation_, event.ordinal_,
+               TimedEntry::kEvent});
+}
+
+void Kernel::schedule_process_resume(Process& process, Time delay) {
+  timed_.push({now_ + delay, (next_seq_++ << 1) | 1, process.bump_generation(), process.ordinal_});
 }
 
 void Kernel::schedule_process_resume_pinned(Process& process, Time delay, std::uint64_t seq) {
-  TimedEntry entry;
-  entry.when = now_ + delay;
-  entry.seq = seq;
-  entry.sub = 0;  // ties against a restored prefix entry resolve pinned-first
-  entry.process = &process;
-  entry.process_generation = process.bump_generation();
-  timed_.push(entry);
+  // sub = 0: ties against a restored prefix entry resolve pinned-first.
+  timed_.push({now_ + delay, seq << 1, process.bump_generation(), process.ordinal_});
 }
 
 void Kernel::schedule_timeout(Process& process, Time delay, std::uint64_t gen) {
-  TimedEntry entry;
-  entry.when = now_ + delay;
-  entry.seq = next_seq_++;
-  entry.process = &process;
-  entry.process_generation = gen;  // shares the generation of the event wait
-  entry.timeout_flag = true;
-  timed_.push(entry);
+  // Shares the generation of the event wait the caller registered.
+  timed_.push({now_ + delay, (next_seq_++ << 1) | 1, gen, process.ordinal_, TimedEntry::kTimeout});
 }
 
 void Kernel::make_runnable(Process& process) {
@@ -357,7 +394,11 @@ void Kernel::run_process(Process& p) {
     }
   }
   current_ = nullptr;
-  if (p.state_ != Process::State::kTerminated) p.state_ = Process::State::kWaiting;
+  if (p.state_ != Process::State::kTerminated) {
+    p.state_ = Process::State::kWaiting;
+  } else {
+    timed_.erase_process(p.ordinal_);  // finished, or killed itself and waited
+  }
   for (KernelObserver* o : observers_) o->on_process_return(p, now_);
 }
 
@@ -388,8 +429,9 @@ void Kernel::delta_notification_phase() {
   if (delta_notifications_.empty()) return;
   notifying_.clear();
   notifying_.swap(delta_notifications_);
-  for (Event* e : notifying_) {
-    if (event_is_live(e) && e->delta_pending_) e->fire();
+  for (const std::uint32_t ordinal : notifying_) {
+    Event* e = events_by_ordinal_[ordinal];
+    if (e != nullptr && e->delta_pending_) e->fire();
   }
 }
 
@@ -401,17 +443,19 @@ void Kernel::rethrow_pending_error() {
   }
 }
 
+bool Kernel::entry_live(const TimedEntry& e) const noexcept {
+  if (e.is_event()) {
+    const Event* event = events_by_ordinal_[e.ordinal];
+    return event != nullptr && event->notify_generation_ == e.generation;
+  }
+  const Process& p = *processes_[e.ordinal];
+  return p.state_ == Process::State::kWaiting && p.wait_generation_ == e.generation;
+}
+
 bool Kernel::advance_time(Time until) {
-  auto entry_valid = [this](const TimedEntry& e) {
-    if (e.event != nullptr) {
-      return event_is_live(e.event) && e.event->notify_generation_ == e.event_generation;
-    }
-    return e.process->state_ == Process::State::kWaiting &&
-           e.process->wait_generation_ == e.process_generation;
-  };
   while (!timed_.empty()) {
     const TimedEntry& top = timed_.top();
-    if (!entry_valid(top)) {
+    if (!entry_live(top)) {
       timed_.pop();
       continue;
     }
@@ -423,14 +467,15 @@ bool Kernel::advance_time(Time until) {
     ++stats_.timed_steps;
     for (KernelObserver* o : observers_) o->on_time_advance(now_);
     while (!timed_.empty() && timed_.top().when == now_) {
-      TimedEntry e = timed_.top();
+      const TimedEntry e = timed_.top();
       timed_.pop();
-      if (!entry_valid(e)) continue;
-      if (e.event != nullptr) {
-        e.event->fire();
+      if (!entry_live(e)) continue;
+      if (e.is_event()) {
+        events_by_ordinal_[e.ordinal]->fire();
       } else {
-        e.process->last_wait_timed_out_ = e.timeout_flag;
-        make_runnable(*e.process);
+        Process& p = *processes_[e.ordinal];
+        p.last_wait_timed_out_ = e.timeout();
+        make_runnable(p);
       }
     }
     return true;
@@ -533,22 +578,7 @@ KernelSnapshot Kernel::snapshot() const {
     }
     s.events.push_back(std::move(img));
   }
-  s.timed.reserve(timed_.entries().size());
-  for (const TimedEntry& e : timed_.entries()) {
-    KernelSnapshot::TimedImage img;
-    img.when = e.when;
-    img.seq = e.seq;
-    img.sub = e.sub;
-    if (e.event != nullptr) {
-      img.event_ordinal = e.event->ordinal_;
-      img.event_generation = e.event_generation;
-    } else {
-      img.process_ordinal = e.process->ordinal_;
-      img.process_generation = e.process_generation;
-    }
-    img.timeout_flag = e.timeout_flag;
-    s.timed.push_back(img);
-  }
+  s.timed = timed_.entries();
   return s;
 }
 
@@ -595,29 +625,11 @@ void Kernel::restore(const KernelSnapshot& snapshot) {
       e->dynamic_waiters_.push_back({processes_[ordinal].get(), generation});
     }
   }
-  std::vector<TimedEntry> entries;
-  entries.reserve(snapshot.timed.size());
-  for (const KernelSnapshot::TimedImage& img : snapshot.timed) {
-    TimedEntry e;
-    e.when = img.when;
-    e.seq = img.seq;
-    e.sub = img.sub;
-    if (img.event_ordinal >= 0) {
-      ensure(static_cast<std::size_t>(img.event_ordinal) < events_by_ordinal_.size(),
-             "Kernel::restore: event ordinal out of range");
-      e.event = events_by_ordinal_[static_cast<std::size_t>(img.event_ordinal)];
-      e.event_generation = img.event_generation;
-    } else {
-      ensure(img.process_ordinal >= 0 &&
-                 static_cast<std::size_t>(img.process_ordinal) < processes_.size(),
-             "Kernel::restore: process ordinal out of range");
-      e.process = processes_[static_cast<std::size_t>(img.process_ordinal)].get();
-      e.process_generation = img.process_generation;
-    }
-    e.timeout_flag = img.timeout_flag;
-    entries.push_back(e);
+  for (const TimedEntry& e : snapshot.timed) {
+    ensure(e.ordinal < (e.is_event() ? events_by_ordinal_.size() : processes_.size()),
+           "Kernel::restore: timed entry ordinal out of range");
   }
-  timed_.assign(std::move(entries));
+  timed_.assign(snapshot.timed, processes_.size());
   now_ = snapshot.now;
   next_seq_ = snapshot.next_seq;
   init_seq_mark_ = snapshot.init_seq_mark;

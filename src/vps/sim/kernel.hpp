@@ -14,7 +14,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "vps/sim/time.hpp"
@@ -122,7 +121,17 @@ class Event {
 
   void fire();  // called by the kernel when the notification matures
   void add_static(Process* p) { static_waiters_.push_back(p); }
-  void add_dynamic(Process* p, std::uint64_t gen) { dynamic_waiters_.push_back({p, gen}); }
+  /// A process has one live wait, so a last entry of the same process is
+  /// stale (its wait timed out or moved on): overwrite it rather than
+  /// append. Keeps the wake order and bounds the list of an event that a
+  /// process re-waits on with a timeout that keeps winning.
+  void add_dynamic(Process* p, std::uint64_t gen) {
+    if (!dynamic_waiters_.empty() && dynamic_waiters_.back().process == p) {
+      dynamic_waiters_.back().generation = gen;
+    } else {
+      dynamic_waiters_.push_back({p, gen});
+    }
+  }
 
   Kernel& kernel_;
   std::string name_;
@@ -302,6 +311,37 @@ class KernelObserver {
   virtual void on_budget_trip(const RunStatus& status) { (void)status; }
 };
 
+/// One timed-queue entry: a timed event notification or a process wakeup
+/// (delay, pinned delay or wait_with_timeout's timeout). The target is named
+/// by ordinal, which is never reused, so an entry outlives a destroyed event
+/// harmlessly and copies verbatim into a KernelSnapshot. An entry is live
+/// while its generation matches the target's (Event notify generation,
+/// Process wait generation, plus kWaiting for a process).
+struct TimedEntry {
+  static constexpr std::uint32_t kEvent = 1;    ///< target is an event, not a process
+  static constexpr std::uint32_t kTimeout = 2;  ///< resumes with last_wait_timed_out()
+
+  Time when;
+  /// (seq << 1) | sub. seq is insertion order for deterministic FIFO at the
+  /// same time. sub = 0 marks a *pinned* entry: a forked replay pins the
+  /// injection delay to the seq the full replay allocated for it, which can
+  /// collide with a restored prefix entry carrying the same seq. The full
+  /// replay orders the injection first (the prefix entry sits one seq later
+  /// there), so pinned-before-normal reproduces that order.
+  std::uint64_t key = 1;
+  std::uint64_t generation = 0;
+  std::uint32_t ordinal = 0;  ///< process or event ordinal
+  std::uint32_t flags = 0;    ///< kEvent | kTimeout
+
+  [[nodiscard]] bool is_event() const noexcept { return (flags & kEvent) != 0; }
+  [[nodiscard]] bool timeout() const noexcept { return (flags & kTimeout) != 0; }
+  /// (when, key) order; keys are unique, so the pop order is total.
+  [[nodiscard]] bool operator>(const TimedEntry& other) const noexcept {
+    return when != other.when ? when > other.when : key > other.key;
+  }
+};
+static_assert(sizeof(TimedEntry) == 32, "a timed-queue entry is half a cache line");
+
 /// Value-type image of the scheduler state at a quiescent instant (between
 /// Kernel::run calls). Processes and events are identified by *ordinal* —
 /// spawn order and registration order respectively — so an image taken from
@@ -323,24 +363,14 @@ struct KernelSnapshot {
     /// (process ordinal, wait generation) of each parked dynamic waiter.
     std::vector<std::pair<std::uint32_t, std::uint64_t>> dynamic_waiters;
   };
-  struct TimedImage {
-    Time when;
-    std::uint64_t seq = 0;
-    std::uint8_t sub = 1;
-    std::int64_t event_ordinal = -1;    // -1: process entry
-    std::uint64_t event_generation = 0;
-    std::int64_t process_ordinal = -1;  // -1: event entry
-    std::uint64_t process_generation = 0;
-    bool timeout_flag = false;
-  };
-
   Time now;
   std::uint64_t next_seq = 0;
   std::uint64_t init_seq_mark = 0;
   KernelStats stats;
   std::vector<ProcessImage> processes;
   std::vector<EventImage> events;
-  std::vector<TimedImage> timed;
+  /// The timed queue's entries, in heap order. At most one per process.
+  std::vector<TimedEntry> timed;
 };
 
 class Kernel {
@@ -419,7 +449,7 @@ class Kernel {
   void request_update(UpdateHook& hook);
   void queue_delta_notification(Event& event);
   void queue_timed_notification(Event& event, Time delay);
-  void schedule_process_resume(Process& process, Time delay, bool timeout_flag);
+  void schedule_process_resume(Process& process, Time delay);
   /// Variant with an explicit (seq, sub) key instead of the allocation
   /// counter; does not advance next_seq_. Used by delay_pinned() so a
   /// snapshot-forked replay reproduces the full replay's entry ordering.
@@ -428,63 +458,58 @@ class Kernel {
   /// caller already registered (wait_with_timeout support).
   void schedule_timeout(Process& process, Time delay, std::uint64_t gen);
   void make_runnable(Process& process);
-  [[nodiscard]] bool event_is_live(const Event* e) const {
-    return live_events_.contains(e);
-  }
 
  private:
   friend class Event;
+  friend class Process;
 
-  struct TimedEntry {
-    Time when;
-    std::uint64_t seq;  // insertion order for deterministic FIFO at same time
-    // Tie-break under seq for *pinned* entries (sub = 0): a forked replay
-    // pins the injection delay to the seq the full replay allocated for it,
-    // which can collide with a restored prefix entry carrying the same seq.
-    // The full replay orders the injection first (the prefix entry sits one
-    // seq later there), so pinned-before-normal reproduces that order.
-    std::uint8_t sub = 1;
-    Event* event = nullptr;
-    std::uint64_t event_generation = 0;
-    Process* process = nullptr;
-    std::uint64_t process_generation = 0;
-    bool timeout_flag = false;
-
-    bool operator>(const TimedEntry& other) const noexcept {
-      if (when != other.when) return when > other.when;
-      if (seq != other.seq) return seq > other.seq;
-      return sub > other.sub;
-    }
-  };
-
-  /// Min-heap over TimedEntry with the same pop order as the
-  /// std::priority_queue it replaces, but with the backing vector readable
-  /// (snapshot()) and assignable (restore()). (when, seq, sub) keys are
-  /// unique, so heap layout never affects pop order.
+  /// Indexed binary min-heap over TimedEntry that holds at most one entry
+  /// per process. Every wait bumps the process's generation, so an entry
+  /// the process still holds is dead: push() re-keys that slot in place
+  /// instead of appending, and a terminating process drops its entry. Event
+  /// entries are not indexed (an event may have several notifications
+  /// pending). (when, key) keys are unique and only dead entries are ever
+  /// removed early, so the pop order of live entries is that of a plain
+  /// heap holding every entry ever pushed.
   class TimedQueue {
    public:
     [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
     [[nodiscard]] const TimedEntry& top() const noexcept { return heap_.front(); }
+    /// Inserts the entry; a process entry replaces the process's own.
     void push(const TimedEntry& entry);
     void pop();
+    /// Removes the process's entry, if it holds one.
+    void erase_process(std::uint32_t ordinal);
+    /// Starts tracking the next process ordinal.
+    void add_process() { slot_.push_back(kNoSlot); }
     [[nodiscard]] const std::vector<TimedEntry>& entries() const noexcept { return heap_; }
-    void assign(std::vector<TimedEntry> entries);
+    /// Replaces the contents with `entries` (any order) for `processes`
+    /// process ordinals; ensure()-fails on two entries for one process.
+    void assign(const std::vector<TimedEntry>& entries, std::size_t processes);
 
    private:
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+    void place(std::size_t i, const TimedEntry& entry) {
+      heap_[i] = entry;
+      if (!entry.is_event()) slot_[entry.ordinal] = static_cast<std::uint32_t>(i);
+    }
+    void sift_up(std::size_t i);
+    void sift_down(std::size_t i);
+    /// Overwrites heap_[i] and restores the heap order around it.
+    void replace(std::size_t i, const TimedEntry& entry);
+    void erase_at(std::size_t i);
+
     std::vector<TimedEntry> heap_;
+    std::vector<std::uint32_t> slot_;  // heap index by process ordinal; kNoSlot = none
   };
 
   void register_event(Event& e) {
     e.ordinal_ = static_cast<std::uint32_t>(events_by_ordinal_.size());
     events_by_ordinal_.push_back(&e);
-    live_events_.insert(&e);
   }
-  void unregister_event(Event& e) {
-    if (e.ordinal_ < events_by_ordinal_.size() && events_by_ordinal_[e.ordinal_] == &e) {
-      events_by_ordinal_[e.ordinal_] = nullptr;
-    }
-    live_events_.erase(&e);
-  }
+  void unregister_event(Event& e) noexcept { events_by_ordinal_[e.ordinal_] = nullptr; }
+  [[nodiscard]] bool entry_live(const TimedEntry& e) const noexcept;
 
   void run_process(Process& p);
   /// Runs runnable processes until the queue drains or `activation_limit`
@@ -515,14 +540,15 @@ class Kernel {
   std::size_t runnable_head_ = 0;
   [[nodiscard]] bool has_runnable() const noexcept { return runnable_head_ < runnable_.size(); }
   std::vector<UpdateHook*> update_requests_;
-  std::vector<Event*> delta_notifications_;
+  std::vector<std::uint32_t> delta_notifications_;  // event ordinals
   // Phase scratch: each phase swaps its queue in here and clears it after,
   // so both vectors keep their capacity and a warmed delta allocates nothing.
   std::vector<UpdateHook*> updating_;
-  std::vector<Event*> notifying_;
+  std::vector<std::uint32_t> notifying_;
   TimedQueue timed_;
-  std::unordered_set<const Event*> live_events_;
-  std::vector<Event*> events_by_ordinal_;  // registration order; null = destroyed
+  // Registration order; a destroyed event leaves a null slot, and ordinals
+  // are never reused, so queued entries of a destroyed event stay inert.
+  std::vector<Event*> events_by_ordinal_;
 };
 
 // ---------------------------------------------------------------------------

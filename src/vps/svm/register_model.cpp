@@ -1,8 +1,26 @@
 #include "vps/svm/register_model.hpp"
 
+#include <cstdio>
+#include <source_location>
+
 namespace vps::svm {
 
 using support::ensure;
+
+namespace {
+
+/// Formats the failed access only when it fails; bus_read/bus_write run on
+/// every register access.
+[[noreturn, gnu::cold, gnu::noinline]] void throw_bus_error(
+    const char* what, std::uint64_t address,
+    std::source_location loc = std::source_location::current()) {
+  char message[64];
+  std::snprintf(message, sizeof message, "RegisterModel: bus error %s 0x%llx", what,
+                static_cast<unsigned long long>(address));
+  support::throw_invariant(message, loc);
+}
+
+}  // namespace
 
 void RegisterModel::add_register(const std::string& reg_name, std::uint64_t address,
                                  std::uint32_t reset_value) {
@@ -44,7 +62,7 @@ std::uint32_t RegisterModel::bus_read(std::uint64_t address) {
   tlm::GenericPayload p(tlm::Command::kRead, address, 4);
   sim::Time delay = sim::Time::zero();
   socket_->b_transport(p, delay);
-  ensure(p.ok(), "RegisterModel: bus error reading 0x" + std::to_string(address));
+  if (!p.ok()) [[unlikely]] throw_bus_error("reading", address);
   return static_cast<std::uint32_t>(p.value_le());
 }
 
@@ -54,7 +72,7 @@ void RegisterModel::bus_write(std::uint64_t address, std::uint32_t value) {
   p.set_value_le(value);
   sim::Time delay = sim::Time::zero();
   socket_->b_transport(p, delay);
-  ensure(p.ok(), "RegisterModel: bus error writing 0x" + std::to_string(address));
+  if (!p.ok()) [[unlikely]] throw_bus_error("writing", address);
 }
 
 std::uint32_t RegisterModel::read(const std::string& reg_name) {

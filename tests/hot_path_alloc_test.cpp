@@ -129,4 +129,30 @@ TEST(HotPathAlloc, WarmedKickAndPollQuantumDoesNotAllocate) {
   EXPECT_EQ(ecu.cpu().state(), vps::hw::Cpu::State::kRunning);
 }
 
+// A process re-arming wait_with_timeout on an event that always wins, as a
+// watchdog does on every kick. The measured stretch is shorter than one
+// timeout, so no superseded timeout comes due in it: the timed queue may
+// only stay at its size if each new wait takes over the old entry.
+TEST(HotPathAlloc, WarmedWaitWithTimeoutLoopDoesNotAllocate) {
+  using vps::sim::Time;
+  vps::sim::Kernel kernel;
+  vps::sim::Event kick(kernel, "kick");
+  std::uint64_t kicks_seen = 0;
+  kernel.spawn("kicker", [](vps::sim::Event& kick) -> vps::sim::Coro {
+    for (;;) {
+      kick.notify();
+      co_await vps::sim::delay(Time::us(1));
+    }
+  }(kick));
+  kernel.spawn("guard", [](vps::sim::Event& kick, std::uint64_t& seen) -> vps::sim::Coro {
+    for (;;) {
+      if (co_await vps::sim::wait_with_timeout(kick, Time::ms(1))) ++seen;
+    }
+  }(kick, kicks_seen));
+  kernel.run(Time::us(16));  // warm the queues; well inside one timeout
+  const std::size_t n = allocations_during([&] { kernel.run(Time::us(900)); });
+  EXPECT_EQ(n, 0u);
+  EXPECT_EQ(kicks_seen, 901u);  // one kick per microsecond, 0 through 900
+}
+
 }  // namespace

@@ -108,4 +108,21 @@ TEST(RegisterModelTest, BusErrorSurfacesAsException) {
   EXPECT_THROW((void)fx.ral.read("BOGUS"), support::InvariantError);
 }
 
+TEST(RegisterModelTest, BusErrorMessageNamesTheAddressInHex) {
+  RalFixture fx;
+  fx.ral.add_register("BOGUS", 0x7000ABC0);
+  auto message_of = [](auto&& access) -> std::string {
+    try {
+      access();
+    } catch (const support::InvariantError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  const std::string read = message_of([&] { (void)fx.ral.read("BOGUS"); });
+  EXPECT_NE(read.find("RegisterModel: bus error reading 0x7000abc0"), std::string::npos) << read;
+  const std::string write = message_of([&] { fx.ral.write("BOGUS", 1); });
+  EXPECT_NE(write.find("RegisterModel: bus error writing 0x7000abc0"), std::string::npos) << write;
+}
+
 }  // namespace

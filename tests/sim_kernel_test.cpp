@@ -4,11 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "vps/hw/peripherals.hpp"
 #include "vps/sim/fifo.hpp"
 #include "vps/sim/kernel.hpp"
 #include "vps/sim/module.hpp"
@@ -16,6 +21,8 @@
 #include "vps/sim/time.hpp"
 #include "vps/sim/trace.hpp"
 #include "vps/support/ensure.hpp"
+#include "vps/tlm/payload.hpp"
+#include "vps/tlm/sockets.hpp"
 
 namespace {
 
@@ -815,6 +822,252 @@ TEST(KernelObserver, BudgetTripNotifiesEveryObserver) {
   EXPECT_EQ(a.trips, 1);
   EXPECT_EQ(b.trips, 1);
   EXPECT_EQ(a.last_trip, StopReason::kLivelock);
+}
+
+
+// ---------------------------------------------------------------------------
+// Seeded kernel oracle: random programs over every wait and notification
+// kind, snapshot-forked onto fresh twins at random quiescent points. Each
+// program's activation trace and KernelStats must equal
+// tests/golden/kernel_oracle.txt, which a kernel that kept every timed
+// entry until it came due wrote. Dropping dead entries early must not move
+// a single activation.
+// ---------------------------------------------------------------------------
+
+/// Everything a program's processes read and write, held outside the
+/// coroutines so a twin continues from a copy (see KernelSnapshot).
+struct OracleState {
+  std::uint64_t rng = 0;
+  std::vector<std::uint32_t> steps_left;  // per thread process
+  std::uint64_t pinned_seq = 0;           // distinct per pinned delay, so keys stay unique
+  std::vector<std::uint64_t> due_ps;      // maturity of every timed notify, cancelled or not
+  std::uint64_t trace_hash = 0xcbf29ce484222325ULL;  // FNV-1a over the activation trace
+  std::uint64_t trace_len = 0;
+
+  std::uint32_t next(std::uint32_t bound) {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return static_cast<std::uint32_t>(rng % bound);
+  }
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      trace_hash = (trace_hash ^ ((v >> (8 * i)) & 0xFF)) * 0x100000001b3ULL;
+    }
+  }
+  void log_activation(Time now, std::size_t ordinal, bool timed_out) {
+    mix(now.picoseconds());
+    mix(ordinal << 1 | (timed_out ? 1 : 0));
+    ++trace_len;
+  }
+};
+
+struct OracleHook final : UpdateHook {
+  void perform_update() override {}
+  void discard_update() noexcept override {}
+};
+
+/// One elaborated program. Construction order (events, threads, method) is
+/// fixed, so a twin built from the same shape accepts the original's image.
+struct OracleSystem {
+  Kernel k;
+  OracleState st;
+  OracleHook hook;
+  std::vector<std::unique_ptr<Event>> events;
+  std::vector<Process*> procs;
+
+  OracleSystem(const OracleState& state, std::size_t n_events, std::size_t n_threads)
+      : st(state) {
+    for (std::size_t j = 0; j < n_events; ++j) {
+      events.push_back(std::make_unique<Event>(k, "e" + std::to_string(j)));
+    }
+    for (std::size_t i = 0; i < n_threads; ++i) {
+      procs.push_back(&k.spawn("t" + std::to_string(i), thread(*this, i)));
+    }
+    procs.push_back(&k.method("m", [this] { method_body(); }, {events[0].get()}, false));
+  }
+
+  Event& pick_event() { return *events[st.next(static_cast<std::uint32_t>(events.size()))]; }
+
+  void notify_timed(Event& e, Time delay) {
+    e.notify(delay);
+    st.due_ps.push_back((k.now() + delay).picoseconds());
+  }
+
+  void method_body() {
+    st.log_activation(k.now(), procs.size() - 1, false);
+    if (st.next(4) == 0) notify_timed(*events.back(), Time::ns(1 + st.next(30)));
+  }
+
+  void side_action(std::size_t self) {
+    switch (st.next(10)) {
+      case 0: pick_event().notify_immediate(); break;
+      case 1:
+      case 2: pick_event().notify(); break;
+      case 3:
+      case 4:
+      case 5: notify_timed(pick_event(), Time::ns(st.next(50))); break;
+      case 6: pick_event().cancel(); break;
+      case 7: k.request_update(hook); break;
+      case 8: {
+        const std::size_t victim = st.next(static_cast<std::uint32_t>(procs.size()));
+        if (victim != self && st.next(4) == 0) procs[victim]->kill();
+        break;
+      }
+      default: break;
+    }
+  }
+
+  static Coro thread(OracleSystem& sys, std::size_t i) {
+    for (;;) {
+      OracleState& st = sys.st;
+      st.log_activation(sys.k.now(), i, sys.k.current_process()->last_wait_timed_out());
+      if (st.steps_left[i] == 0) co_return;
+      --st.steps_left[i];
+      for (std::uint32_t a = st.next(3); a > 0; --a) sys.side_action(i);
+      switch (st.next(6)) {
+        case 0: co_await delay(Time::ns(st.next(40))); break;
+        case 1: co_await delay_pinned(Time::ns(st.next(40)), st.pinned_seq++); break;
+        case 2: co_await sys.pick_event(); break;
+        default: (void)co_await wait_with_timeout(sys.pick_event(), Time::ns(st.next(60))); break;
+      }
+    }
+  }
+};
+
+struct OracleResult {
+  std::string line;
+  std::size_t worst_excess = 0;  // timed entries beyond the bound, worst slice
+  bool bound_held = true;
+};
+
+OracleResult run_oracle_program(std::uint64_t seed) {
+  std::uint64_t drv = seed * 0x9E3779B97F4A7C15ULL + 1;
+  auto drive = [&drv](std::uint32_t bound) {
+    drv ^= drv << 13;
+    drv ^= drv >> 7;
+    drv ^= drv << 17;
+    return static_cast<std::uint32_t>(drv % bound);
+  };
+  const std::size_t n_events = 2 + drive(4);
+  const std::size_t n_threads = 2 + drive(6);
+  OracleState init;
+  init.rng = seed * 0xD1B54A32D192ED03ULL + 7;
+  for (std::size_t i = 0; i < n_threads; ++i) init.steps_left.push_back(5 + drive(40));
+
+  auto sys = std::make_unique<OracleSystem>(init, n_events, n_threads);
+  OracleResult result;
+  std::size_t restores = 0;
+  for (int slice = 0; slice < 400; ++slice) {
+    const RunStatus status = sys->k.run(sys->k.now() + Time::ns(1 + drive(80)), RunBudget{});
+    std::size_t live = 0;
+    for (const Process* p : sys->procs) live += p->done() ? 0 : 1;
+    std::size_t not_due = 0;
+    for (const std::uint64_t due : sys->st.due_ps) not_due += due > sys->k.now().picoseconds();
+    const KernelSnapshot image = sys->k.snapshot();
+    if (image.timed.size() > live + not_due) {
+      result.bound_held = false;
+      result.worst_excess = std::max(result.worst_excess, image.timed.size() - live - not_due);
+    }
+    if (status.reason == StopReason::kIdle) break;
+    if (drive(3) == 0) {
+      auto twin = std::make_unique<OracleSystem>(sys->st, n_events, n_threads);
+      twin->k.restore(image);
+      sys = std::move(twin);
+      ++restores;
+    }
+  }
+  const KernelStats& s = sys->k.stats();
+  char buf[256];
+  std::snprintf(buf, sizeof buf,
+                "seed=%llu trace=%016llx activations_logged=%llu now_ps=%llu "
+                "stats=%llu/%llu/%llu/%llu/%llu restores=%zu",
+                static_cast<unsigned long long>(seed),
+                static_cast<unsigned long long>(sys->st.trace_hash),
+                static_cast<unsigned long long>(sys->st.trace_len),
+                static_cast<unsigned long long>(sys->k.now().picoseconds()),
+                static_cast<unsigned long long>(s.activations),
+                static_cast<unsigned long long>(s.delta_cycles),
+                static_cast<unsigned long long>(s.timed_steps),
+                static_cast<unsigned long long>(s.notifications),
+                static_cast<unsigned long long>(s.updates), restores);
+  result.line = buf;
+  return result;
+}
+
+constexpr std::uint64_t kOraclePrograms = 300;
+
+TEST(KernelOracle, SeededProgramsMatchTheGoldenTraceAndStats) {
+  std::ifstream golden(VPS_GOLDEN_DIR "/kernel_oracle.txt");
+  ASSERT_TRUE(golden.good()) << "missing " VPS_GOLDEN_DIR "/kernel_oracle.txt";
+  std::uint64_t seed = 1;
+  std::size_t bound_breaks = 0;
+  for (std::string expected; std::getline(golden, expected); ++seed) {
+    const OracleResult r = run_oracle_program(seed);
+    EXPECT_EQ(r.line, expected);
+    if (!r.bound_held) {
+      ++bound_breaks;
+      ADD_FAILURE() << "seed " << seed << ": " << r.worst_excess
+                    << " timed entries beyond live processes + undue notifications";
+    }
+  }
+  EXPECT_EQ(seed - 1, kOraclePrograms);
+  EXPECT_EQ(bound_breaks, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Dead entries: a wait that is superseded leaves nothing behind.
+// ---------------------------------------------------------------------------
+
+TEST(KernelDeadEntries, RearmedWatchdogHoldsOneTimedEntry) {
+  Kernel k;
+  vps::hw::Watchdog wdg(k, "wdg");
+  vps::tlm::InitiatorSocket bus("bus");
+  bus.bind(wdg.socket());
+  auto write = [&bus](std::uint32_t offset, std::uint32_t value) {
+    vps::tlm::GenericPayload p(vps::tlm::Command::kWrite, offset, 4);
+    p.set_value_le(value);
+    Time delay = Time::zero();
+    bus.b_transport(p, delay);
+    ASSERT_TRUE(p.ok());
+  };
+  write(vps::hw::Watchdog::kPeriodUs, 2000);
+  write(vps::hw::Watchdog::kCtrl, 1);
+  k.spawn("kicker", [](vps::hw::Watchdog& wdg) -> Coro {
+    for (;;) {
+      wdg.kick();
+      co_await delay(10_us);
+    }
+  }(wdg));
+  k.run(20_ms);
+  EXPECT_EQ(wdg.timeout_count(), 0u);
+  // The kicker's delay and the watchdog's current timeout; none of the
+  // 2000 superseded timeouts may still be queued.
+  EXPECT_LE(k.snapshot().timed.size(), 2u);
+}
+
+TEST(KernelDeadEntries, DestroyedEventWithPendingNotificationsNeverFires) {
+  Kernel k;
+  int fired = 0;
+  std::optional<Event> storage;
+  storage.emplace(k, "doomed");
+  k.method("listener", [&fired] { ++fired; }, {&*storage}, /*initialize=*/false);
+  Event after(k, "after");
+  k.spawn("owner", [](Kernel& k, std::optional<Event>& storage, Event& after) -> Coro {
+    storage->notify();
+    storage->notify(5_ns);
+    storage.reset();
+    // Same address, fresh ordinal: the doomed event's queued notifications
+    // must not find this one.
+    storage.emplace(k, "reborn");
+    after.notify(10_ns);
+    co_return;
+  }(k, storage, after));
+  k.run();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(storage->fire_count(), 0u);
+  EXPECT_EQ(after.fire_count(), 1u);
+  EXPECT_EQ(k.now(), 10_ns);
 }
 
 }  // namespace

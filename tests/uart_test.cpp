@@ -466,6 +466,21 @@ TEST(UartFrameWake, ThreeCleanBytesCostFourActivations) {
   EXPECT_EQ(kernel.stats().activations, 4u);
 }
 
+TEST(UartFrameWake, CleanFramesLeaveNoStaleWaiters) {
+  sim::Kernel kernel;
+  hw::Uart uart(kernel, "u");
+  std::vector<std::uint8_t> data(1000);
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::uint8_t>(i * 37);
+  uart.transmit(data.data(), data.size());
+  (void)kernel.run();
+  ASSERT_EQ(uart.bytes_delivered(), 1000u);
+  // Every frame parks on the corrupt-request event with a timeout that
+  // wins; the next frame's wait must take over that stale entry.
+  for (const sim::KernelSnapshot::EventImage& e : kernel.snapshot().events) {
+    EXPECT_LE(e.dynamic_waiters.size(), 1u);
+  }
+}
+
 TEST(UartFrameWake, RequestOnTheLastBoundaryRidesTheTimedOutWake) {
   sim::Kernel kernel;
   hw::Uart uart(kernel, "u");
